@@ -11,9 +11,15 @@ and it is where read batching/caching lives.
 Two backends ship today:
 
 * :class:`InProcessGateway` — wraps a local ``Node`` (plus the simulated
-  p2p network for submissions and the event engine for waits).  Pure
-  delegation: behavior is bit-identical to the pre-gateway direct calls,
-  which the equivalence tests pin.
+  p2p network for submissions and the event engine for waits).  Behavior
+  is bit-identical to the pre-gateway direct calls, which the
+  equivalence tests pin.  Contract reads are memoized per canonical
+  head: read-only contract state is a pure function of the head, so a
+  repeated read of an unchanged head returns the value (and byte
+  counts) of its first execution instead of re-running the contract and
+  re-encoding the response.  Wait-for-all quorum polling re-reads the
+  same submissions after every simulator event; the memo makes those
+  polls cost a dict lookup.
 * :class:`BatchingGateway` — wraps any other gateway and coalesces the
   per-round fan-out of contract reads (registration checks, visible-
   submission polls, reputation reads, finalization polls) behind a
@@ -21,7 +27,12 @@ Two backends ship today:
   state is a pure function of the canonical head, so serving repeated
   polls of an unchanged head from cache is *exactly* result-preserving —
   only the number of transport round trips changes (the property
-  ``bench_chain_gateway.py`` measures).
+  ``bench_chain_gateway.py`` measures).  Over an in-process transport
+  the memo above already serves repeated reads, so what it still saves
+  is wire round trips to an out-of-process gateway.
+
+Values returned by reads may be shared between calls (both backends
+memoize them), so callers must treat them as read-only.
 
 Transport failures surface as typed :class:`~repro.errors.GatewayError`
 subclasses — unknown contract, unknown method, reverted call, rejected
@@ -190,6 +201,9 @@ class ChainGateway(Protocol):
     Implementations must expose a :class:`GatewayStats` as ``stats`` and
     raise :class:`~repro.errors.GatewayError` subclasses for transport
     failures.  All reads answer from the backend's canonical head view.
+    A backend may memoize reads per head (the in-process one does), so a
+    returned value can be the same object a previous call returned:
+    callers must treat read results as shared and read-only.
     """
 
     stats: GatewayStats
@@ -251,19 +265,21 @@ class InProcessGateway:
 
     ``network`` (when given) gossips submissions exactly as the pre-gateway
     drivers did; ``simulator`` backs ``wait_for`` and the transport clock.
-    Everything is pure delegation, so results are bit-identical to calling
-    the node directly — the contract the equivalence suite pins.
+    Results are bit-identical to calling the node directly — the contract
+    the equivalence suite pins.
+
+    Contract reads go through a memo keyed by :meth:`CallRequest.key`
+    and emptied whenever the node's canonical head changes.  A read only
+    sees head state, the node's own address as caller, and the head's
+    height and timestamp, so a hit returns exactly what a fresh
+    execution would.  A hit still counts as a read and adds the request
+    and response byte counts measured when the entry was stored, so
+    ``stats.as_dict()`` is the same as without the memo; only the wall
+    clock ``read_seconds`` moves.  Reads that raise are not stored.
 
     The wrapped ``node`` stays reachable as ``.node`` for chain forensics
     (merkle evidence, receipts) and tests; FL-layer *code* must not use it
     (a seam test greps for that).
-
-    ``track_bytes`` controls the request/response wire-size telemetry,
-    which re-encodes every read payload (~2x the cost of a small
-    in-process read, a few percent of an end-to-end run).  It stays on by
-    default — the counters are deterministic and feed ``chain_stats()`` —
-    but profiling-sensitive callers can switch it off; counts and latency
-    are tracked either way.
     """
 
     def __init__(
@@ -272,34 +288,51 @@ class InProcessGateway:
         network: Optional[P2PNetwork] = None,
         simulator: Optional[Simulator] = None,
         default_deadline: float = DEFAULT_WAIT_DEADLINE,
-        track_bytes: bool = True,
     ) -> None:
         self.node = node
         self.network = network
         self.simulator = simulator
         self.default_deadline = default_deadline
-        self.track_bytes = track_bytes
         self.stats = GatewayStats()
+        # Read memo: the head its entries were read at, and
+        # request key -> (value, request bytes, response bytes).
+        self._memo_head: Optional[str] = None
+        self._memo: dict[tuple, tuple[Any, int, int]] = {}
 
     # -- reads -------------------------------------------------------------
 
     def _execute_read(self, request: CallRequest) -> Any:
-        """One contract read with transport errors mapped to gateway types."""
+        """One contract read, memoized per head, with transport errors
+        mapped to gateway types."""
         started = time.perf_counter()
         try:
-            value = self.node.call_contract(request.contract, request.method, **request.args)
+            head = self.node.head_hash
+            if head != self._memo_head:
+                self._memo = {}
+                self._memo_head = head
+            key = request.key()
+            entry = self._memo.get(key)
+            if entry is None:
+                value = self._call_node(request)
+                entry = (value, request.wire_bytes(), _payload_bytes(value))
+                self._memo[key] = entry
+        finally:
+            self.stats.read_seconds += time.perf_counter() - started
+        value, request_bytes, response_bytes = entry
+        self.stats.request_bytes += request_bytes
+        self.stats.response_bytes += response_bytes
+        return value
+
+    def _call_node(self, request: CallRequest) -> Any:
+        """Execute one read on the node, mapping its errors to gateway types."""
+        try:
+            return self.node.call_contract(request.contract, request.method, **request.args)
         except ContractNotFoundError as exc:
             raise UnknownContractError(str(exc)) from exc
         except MethodNotFoundError as exc:
             raise UnknownMethodError(str(exc)) from exc
         except ContractRevertError as exc:
             raise CallRevertedError(exc.reason or str(exc)) from exc
-        finally:
-            self.stats.read_seconds += time.perf_counter() - started
-        if self.track_bytes:
-            self.stats.request_bytes += request.wire_bytes()
-            self.stats.response_bytes += _payload_bytes(value)
-        return value
 
     def call(self, contract: Address, method: str, **args: Any) -> Any:
         """Read-only contract call against the node's head state."""
@@ -320,7 +353,7 @@ class InProcessGateway:
     def head_hash(self) -> str:
         """Canonical head hash — changes exactly when head state can."""
         self.stats.head_checks += 1
-        return self.node.head.block_hash
+        return self.node.head_hash
 
     def has_contract(self, address: Address) -> bool:
         """Contract-deployed check at the head state."""
@@ -356,10 +389,9 @@ class InProcessGateway:
         are accepted silently, as on a real client.
         """
         self.stats.submits += 1
-        if self.track_bytes:
-            self.stats.request_bytes += _payload_bytes(
-                {"to": tx.to, "method": tx.method, "args": tx.args, "nonce": tx.nonce}
-            )
+        self.stats.request_bytes += _payload_bytes(
+            {"to": tx.to, "method": tx.method, "args": tx.args, "nonce": tx.nonce}
+        )
         if self.network is not None:
             if not self.network.broadcast_transaction(self.node.address, tx):
                 raise TransactionRejectedError(

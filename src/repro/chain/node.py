@@ -183,6 +183,9 @@ class Node:
         self._receipt_location: dict[str, str] = {}
         # Next canonical height _spill_cold() will consider demoting.
         self._spill_floor = 1
+        # Demotions _spill_cold() skipped because a payload would not
+        # encode canonically (the block stays hot).
+        self.spill_skipped = 0
         self.execution_stats = ExecutionStats()
         self.snapshots_taken = 0
         self.snapshots_skipped = 0
@@ -201,6 +204,11 @@ class Node:
     def head(self) -> Block:
         """Canonical head block."""
         return self.store.head
+
+    @property
+    def head_hash(self) -> str:
+        """Canonical head block hash (changes exactly when head state can)."""
+        return self.store.head_hash
 
     @property
     def height(self) -> int:
@@ -716,7 +724,8 @@ class Node:
                     self._spill_receipts(block_hash)
                     self.store.demote(block_hash)
                 except SerializationError:
-                    pass  # non-canonical payload: keep this block hot
+                    # Non-canonical payload: the block stays hot, counted.
+                    self.spill_skipped += 1
             self._spill_floor = number + 1
 
     def _spill_receipts(self, block_hash: str) -> None:
@@ -808,6 +817,7 @@ class Node:
                 "spilled_blocks": self.store.spilled_count(),
                 "hot_receipt_blocks": len(self._receipts_by_block),
                 "cold_receipt_txs": len(self._receipt_location),
+                "spill_skipped": self.spill_skipped,
                 "snapshots_taken": self.snapshots_taken,
                 "snapshots_skipped": self.snapshots_skipped,
                 "snapshot_replays": self.snapshot_replays,

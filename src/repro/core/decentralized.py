@@ -112,8 +112,8 @@ class DecentralizedConfig:
     in-process.  Worker count never changes any result.
 
     ``gateway`` selects the ledger backend every peer talks through
-    (:mod:`repro.chain.gateway`): ``"inprocess"`` is the pure-delegation
-    wrapper around each peer's node (bit-identical to the pre-gateway
+    (:mod:`repro.chain.gateway`): ``"inprocess"`` wraps each peer's node
+    and memoizes reads per head (bit-identical to the pre-gateway
     driver), ``"batching"`` coalesces the per-round fan-out of contract
     reads behind a head-keyed cache whose entries also expire after
     ``gateway_staleness`` simulated seconds.  Reads are pure functions of

@@ -3,7 +3,8 @@
 Covers the transport-agnostic :mod:`repro.chain.gateway` API the FL layer
 programs against:
 
-* ``InProcessGateway`` delegation and instrumentation;
+* ``InProcessGateway`` delegation and instrumentation, and its per-head
+  read memo (exact against fresh reads, end to end too);
 * typed error mapping (unknown contract / unknown method / reverted call
   / rejected transaction) — asserted identical across both backends;
 * ``BatchingGateway`` head-keyed caching with the bounded staleness
@@ -23,6 +24,7 @@ from repro.chain.gateway import (
     ChainGateway,
     GatewayStats,
     InProcessGateway,
+    _payload_bytes,
     transport_stats,
 )
 from repro.chain.node import GenesisSpec, Node, NodeConfig
@@ -196,6 +198,120 @@ class TestInProcessGateway:
         sim.schedule_in(2.0, lambda: seen.append(True))
         assert gateway.wait_for(lambda: bool(seen), "flag", deadline=10.0) == 2.0
         assert gateway.stats.waits == 1
+
+
+def fresh_read(execute, node: Node, stats: GatewayStats, request: CallRequest):
+    """One read the way the gateway answered it before the memo: a fresh
+    execution (``execute`` is an unpatched ``Node.call_contract``) and a
+    fresh encode of both payloads, every time."""
+    value = execute(node, request.contract, request.method, **request.args)
+    stats.request_bytes += request.wire_bytes()
+    stats.response_bytes += _payload_bytes(value)
+    return value
+
+
+def record_executions(monkeypatch) -> list[tuple]:
+    """Log ``(node address, head hash, request key)`` per contract execution."""
+    executed: list[tuple] = []
+    original = Node.call_contract
+
+    def counting(self, contract, method, **args):
+        executed.append((self.address, self.head_hash, CallRequest(contract, method, args).key()))
+        return original(self, contract, method, **args)
+
+    monkeypatch.setattr(Node, "call_contract", counting)
+    return executed
+
+
+class TestReadMemo:
+    """``InProcessGateway`` memoizes reads per head without changing a
+    returned value or a counter."""
+
+    def test_memo_is_exact_across_head_changes_and_a_reorg(self, node_and_registry, monkeypatch):
+        node, kp, registry = node_and_registry
+        fork_node, _ = make_node()
+        fork_node.import_block(node.head)
+        fresh_execute = Node.call_contract
+        executed = record_executions(monkeypatch)
+        gateway = InProcessGateway(node)
+        expected = GatewayStats()
+        requests = [
+            CallRequest(registry, "member_count"),
+            CallRequest(registry, "is_member", {"address": kp.address}),
+            CallRequest(registry, "admin"),
+        ]
+
+        def read_everything() -> list:
+            seen = []
+            for request in requests:
+                for _ in range(3):
+                    expected.calls += 1
+                    want = fresh_read(fresh_execute, node, expected, request)
+                    got = gateway.call(request.contract, request.method, **request.args)
+                    assert got == want
+                    seen.append(got)
+            expected.batch_calls += 1
+            expected.batched_reads += len(requests)
+            want = [fresh_read(fresh_execute, node, expected, request) for request in requests]
+            assert gateway.batch_call(requests) == want
+            return seen + want
+
+        heads = [node.head_hash]
+        before = read_everything()
+        register = Transaction(
+            sender=kp.address,
+            to=registry,
+            nonce=node.next_nonce_for(kp.address),
+            method="register",
+            args={"display_name": "A"},
+        ).sign_with(kp)
+        node.submit_transaction(register)
+        mine(node, 26.0)
+        heads.append(node.head_hash)
+        registered = read_everything()
+        # A longer empty fork outweighs the block with the registration.
+        for timestamp in (26.5, 27.0):
+            block = fork_node.build_block_candidate(timestamp, difficulty=1)
+            fork_node.seal_and_import(block, nonce=0)
+            node.import_block(fork_node.head)
+        assert node.head_hash == fork_node.head.block_hash
+        heads.append(node.head_hash)
+        after_reorg = read_everything()
+
+        assert before != registered and after_reorg == before
+        assert gateway.stats.as_dict() == expected.as_dict()
+        # One execution per (head, request), however often it was read.
+        assert sorted(executed) == sorted(
+            (node.address, head, request.key()) for head in heads for request in requests
+        )
+
+    @pytest.mark.parametrize("case", ["reverted", "unknown_method"])
+    def test_failed_reads_are_not_memoized(self, node_and_registry, monkeypatch, case):
+        node, kp, registry = node_and_registry
+        ledger = deploy_contract(node, kp, 26.0, contract="reputation_ledger")
+        contract, method, args, error = {
+            # Self-rating reverts inside the contract.
+            "reverted": (
+                ledger, "rate", {"round_id": 1, "subject": kp.address, "delta": 5}, CallRevertedError
+            ),
+            "unknown_method": (registry, "no_such_method", {}, UnknownMethodError),
+        }[case]
+        executed = record_executions(monkeypatch)
+        gateway = InProcessGateway(node)
+        snapshots = [gateway.stats.as_dict()]
+        messages = []
+        for _ in range(3):
+            with pytest.raises(error) as excinfo:
+                gateway.call(contract, method, **args)
+            messages.append(str(excinfo.value))
+            snapshots.append(gateway.stats.as_dict())
+        assert len(executed) == 3  # every repeat executed again
+        assert len(set(messages)) == 1
+        deltas = [
+            {key: after[key] - before[key] for key in after if after[key] != before[key]}
+            for before, after in zip(snapshots, snapshots[1:])
+        ]
+        assert deltas == [{"calls": 1, "contract_call_round_trips": 1, "requested_reads": 1}] * 3
 
 
 class TestErrorMappingParity:
@@ -449,6 +565,78 @@ class TestBackendEquivalence:
         assert gateway["requested"]["contract_call_round_trips"] > 0
         assert gateway["requested"]["submits"] > 0
         assert stats["heights"]  # heights come from gateway.height()
+
+
+def read_without_memo(self, request: CallRequest):
+    """``InProcessGateway._execute_read`` with the read memo taken out."""
+    value = self._call_node(request)
+    self.stats.request_bytes += request.wire_bytes()
+    self.stats.response_bytes += _payload_bytes(value)
+    return value
+
+
+def run_wait_for_all_cohort():
+    """Four peers with staggered training times, so every peer's quorum
+    wait polls through several head changes before all updates show."""
+    peers = ("A", "B", "C", "D")
+    data_rng = np.random.default_rng(1)
+    driver = DecentralizedFL(
+        [
+            PeerConfig(
+                peer_id=p,
+                train_config=TrainConfig(epochs=1),
+                training_time=10.0 + 15.0 * index,
+            )
+            for index, p in enumerate(peers)
+        ],
+        {p: easy_dataset(data_rng, n=60) for p in peers},
+        {p: easy_dataset(data_rng, n=40) for p in peers},
+        lambda rng: Sequential([Dense(2, name="out")]).build(np.random.default_rng(42), (4,)),
+        DecentralizedConfig(rounds=2, enable_reputation=True),
+        rng_factory=RngFactory(11),
+    )
+    logs = driver.run()
+    digests = {
+        peer_id: weights_hash(peer.client.model.get_weights())
+        for peer_id, peer in sorted(driver.peers.items())
+    }
+    outcome = [
+        (log.peer_id, log.round_id, log.chosen_combination, log.chosen_accuracy, log.wait_time)
+        for log in logs
+    ]
+    return driver, digests, outcome
+
+
+class TestReadMemoEndToEnd:
+    """Regression guard: a wait-for-all cohort with the memo gives the
+    unmemoized run's results and counters, while each node executes a
+    read at most once per (head, request) instead of once per poll."""
+
+    def test_memo_keeps_results_and_bounds_contract_executions(self, monkeypatch):
+        executed = record_executions(monkeypatch)
+        driver, digests, outcome = run_wait_for_all_cohort()
+        stats = driver.chain_stats()
+        memo_executions = list(executed)
+        monkeypatch.setattr(InProcessGateway, "_execute_read", read_without_memo)
+        del executed[:]
+        ref_driver, ref_digests, ref_outcome = run_wait_for_all_cohort()
+        ref_stats = ref_driver.chain_stats()
+
+        assert digests == ref_digests
+        assert outcome == ref_outcome
+        assert stats["gateway"] == ref_stats["gateway"]
+        assert stats == ref_stats
+        # Each (node, head, request) executed once: per node at most
+        # distinct heads x distinct requests, however long the polls ran.
+        assert len(memo_executions) == len(set(memo_executions))
+        for address in {entry[0] for entry in memo_executions}:
+            mine = [entry for entry in memo_executions if entry[0] == address]
+            heads = {head for _, head, _ in mine}
+            requests = {key for _, _, key in mine}
+            assert len(mine) <= len(heads) * len(requests)
+        # Without the memo every poll re-executes: the guard has teeth.
+        assert len(executed) == stats["gateway"]["requested"]["requested_reads"]
+        assert 2 * len(memo_executions) < len(executed)
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -35,7 +35,7 @@ from repro.chain.scale.coldstore import ColdStoreError
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.contracts import register_all
-from repro.errors import InvalidBlockError
+from repro.errors import InvalidBlockError, SerializationError
 from repro.scenarios.spec import ChainSpec, ConfigError
 
 KEYPAIRS = [KeyPair.from_seed(f"scale-{i}") for i in range(8)]
@@ -299,6 +299,30 @@ class TestSpilledReceiptsAndLogs:
         assert storage["spilled_blocks"] > 0
         assert storage["hot_blocks"] <= node.config.hot_window + 1
         assert storage["cold_receipt_txs"] > 0
+        assert storage["spill_skipped"] == 0
+
+    def test_unencodable_block_stays_hot_and_is_counted(self, monkeypatch):
+        """A demotion that cannot encode is skipped visibly, not silently."""
+        cold = ColdStore()
+        node = make_node(KEYPAIRS[0], cold_store=cold, hot_window=3)
+        deploy_registry(node, KEYPAIRS[0])
+        poisoned = node.store.canonical_hash(1)
+        real_put = cold.put
+
+        def put(key, payload):
+            if key == poisoned:
+                raise SerializationError("payload is not canonical")
+            return real_put(key, payload)
+
+        monkeypatch.setattr(cold, "put", put)
+        for _ in range(6):
+            mine(node)
+        storage = node.scale_stats()["storage"]
+        assert storage["spill_skipped"] == 1
+        # Heights 1..(height - window) were due; all but the poisoned one left.
+        assert storage["spilled_blocks"] == node.height - node.config.hot_window - 1
+        assert storage["hot_blocks"] == node.config.hot_window + 2
+        assert node.store.get(poisoned).block_hash == poisoned
 
     def test_get_logs_identical_after_spill(self):
         node, registry, _txs, logs_before, _ = self.build_spilled_node()
