@@ -1,35 +1,18 @@
-"""X5 — ledger-gateway batching: round trips per round, raw vs coalesced.
+"""X5 — ledger-gateway transport pricing: in-process vs over the wire.
 
 The FL layer reaches the chain only through the :class:`ChainGateway`
 protocol (:mod:`repro.chain.gateway`).  This bench runs the same 25-peer
-decentralized scenario under both backends and compares the *transport*
-round trips the per-round read fan-out costs — registration checks,
-visible-submission polls, finalization polls — per communication round:
+decentralized scenario over both transports and prices the wire:
 
-* ``inprocess`` forwards every FL-layer read to the node (the pre-gateway
-  call pattern, bit-for-bit);
-* ``batching`` coalesces reads behind a head-keyed cache with a bounded
-  staleness window, so the many poll events between two blocks cost one
-  round trip per distinct read instead of one each.
+* ``inprocess`` — every peer reads its own node through an
+  :class:`~repro.chain.gateway.InProcessGateway` (zero wire);
+* ``remote`` — peers live in 2 worker OS processes and reach the ledger
+  through :class:`~repro.runtime.gateway.RemoteGateway` over framed
+  sockets (:mod:`repro.runtime`).
 
-Head state is immutable between head changes, so the backends produce
-byte-identical results — asserted here over accuracy tables, adopted
-combinations, wait times, and the full round-trip request profile.  The
-acceptance floor is a >= 3x reduction in contract-call round trips per
-round at the 25-peer profile (measured ~30x).
-
-With the out-of-process runtime (:mod:`repro.runtime`) the same seam
-also prices the *wire*: ``compare_transports`` reruns the profile with
-peers in worker OS processes talking to the ledger over framed sockets,
-raw and with worker-side batching.  The measured finding: the runtime's
-task protocol already coalesces at the protocol level (views are
-memoized per task, weight blobs mirrored content-addressed, training
-transactions returned in task results instead of submitted), so the
-worker-side reads that remain are essentially all distinct — batching
-is *trip-neutral* over the wire, and the coordinator's pushed head
-signal is what keeps it neutral instead of negative (without it every
-cache validation would cost its own round trip).  All arms are
-byte-identical — asserted in-bench.
+The two arms are byte-identical — model digests, client accuracy, wait
+times and chain heights, asserted in-bench — so the only thing the
+transport changes is the RPC trips and wire bytes reported here.
 
 ``--smoke`` keeps the 25-peer cohort (the profile is the point) but
 shrinks data and rounds so the comparison runs in seconds for tier-1.
@@ -42,11 +25,6 @@ from dataclasses import replace
 from _bench_util import run_once
 from repro.metrics.tables import render_table
 from repro.scenarios import ScenarioContext, cohort_scenario, run_scenario
-from repro.scenarios.spec import replace_axis
-
-#: Acceptance floor: batching must cut contract-call round trips per
-#: round by at least this factor at the 25-peer profile.
-ROUND_TRIP_FLOOR = 3.0
 
 _CACHE: dict = {}
 
@@ -69,110 +47,23 @@ def _profile_spec(size: int, rounds: int, train: int, test: int, seed: int):
     )
 
 
-def compare_gateways(
+def compare_transports(
     size: int, rounds: int, train: int, test: int, seed: int = 42
 ) -> dict:
-    """Run the profile under both backends; assert identical results.
+    """Price the profile in-process and over the wire.
 
-    Returns the per-round transport round-trip counts, their ratio, and
-    the request/latency telemetry of both runs.  Raises ``AssertionError``
-    if any output differs — the backend must be a pure transport knob.
+    Two arms: in-process (zero wire) and remote (peers in 2 worker
+    processes, reads over the socket).  Asserts both arms' results
+    identical and returns the per-arm RPC trips and wire megabytes.
     """
     key = (size, rounds, train, test, seed)
     if key in _CACHE:
         return _CACHE[key]
     spec = _profile_spec(size, rounds, train, test, seed)
-    context = ScenarioContext()  # both runs share datasets/backbones
-    raw = run_scenario(spec, context=context)
-    batched = run_scenario(replace_axis(spec, "chain.gateway", "batching"), context=context)
-
-    assert raw.client_accuracy == batched.client_accuracy
-    assert raw.combination_accuracy == batched.combination_accuracy
-    assert raw.wait_times == batched.wait_times
-    assert [
-        (log.peer_id, log.round_id, log.chosen_combination, log.chosen_accuracy)
-        for log in raw.round_logs
-    ] == [
-        (log.peer_id, log.round_id, log.chosen_combination, log.chosen_accuracy)
-        for log in batched.round_logs
-    ]
-
-    raw_gw = raw.chain_stats["gateway"]
-    batched_gw = batched.chain_stats["gateway"]
-    # The FL layer asked for the same reads either way.
-    assert (
-        raw_gw["requested"]["requested_reads"]
-        == batched_gw["requested"]["requested_reads"]
-    )
-    raw_trips = raw_gw["transport"]["contract_call_round_trips"]
-    batched_trips = batched_gw["transport"]["contract_call_round_trips"]
-    result = {
-        "size": size,
-        "rounds": rounds,
-        "requested_reads": raw_gw["requested"]["requested_reads"],
-        "raw_trips_per_round": raw_trips / rounds,
-        "batched_trips_per_round": batched_trips / rounds,
-        "trip_reduction": raw_trips / max(batched_trips, 1),
-        "cache_hits": batched_gw["requested"]["cache_hits"],
-        "head_checks": batched_gw["requested"]["head_checks"],
-        "raw_response_bytes": raw_gw["transport"]["response_bytes"],
-        "batched_response_bytes": batched_gw["transport"]["response_bytes"],
-        "raw": raw_gw,
-        "batched": batched_gw,
-    }
-    _CACHE[key] = result
-    return result
-
-
-def _print_comparison(result: dict) -> None:
-    print()
-    print(
-        render_table(
-            f"X5: gateway round trips ({result['size']} peers, {result['rounds']} rounds)",
-            ["backend", "trips/round", "head checks", "response MB", "reduction"],
-            [
-                [
-                    "inprocess",
-                    f"{result['raw_trips_per_round']:.0f}",
-                    "-",
-                    f"{result['raw_response_bytes'] / 1e6:.2f}",
-                    "1.0x",
-                ],
-                [
-                    "batching",
-                    f"{result['batched_trips_per_round']:.0f}",
-                    # Served locally in-process; from a pushed new-heads
-                    # subscription (not a request) on a remote transport.
-                    f"{result['head_checks']}",
-                    f"{result['batched_response_bytes'] / 1e6:.2f}",
-                    f"{result['trip_reduction']:.1f}x",
-                ],
-            ],
-        )
-    )
-
-
-def compare_transports(
-    size: int, rounds: int, train: int, test: int, seed: int = 42
-) -> dict:
-    """Price the profile across process topologies and backends.
-
-    Three arms: in-process (zero wire), remote (peers in 2 worker
-    processes, raw reads over the socket), and remote+batching (the
-    worker-side head-keyed cache on top).  Asserts all arms' results
-    identical and that batching never *adds* wire round trips — the
-    pushed head signal keeps cache validation off the wire.
-    """
-    key = ("transports", size, rounds, train, test, seed)
-    if key in _CACHE:
-        return _CACHE[key]
-    spec = _profile_spec(size, rounds, train, test, seed)
     context = ScenarioContext()
     local = run_scenario(spec, context=context)
-    remote_spec = replace(spec, runtime="multiprocess", runtime_workers=2)
-    remote = run_scenario(remote_spec, context=context)
-    batched = run_scenario(
-        replace_axis(remote_spec, "chain.gateway", "batching"), context=context
+    remote = run_scenario(
+        replace(spec, runtime="multiprocess", runtime_workers=2), context=context
     )
 
     def identity(result):
@@ -184,7 +75,6 @@ def compare_transports(
         )
 
     assert identity(remote) == identity(local)
-    assert identity(batched) == identity(local)
 
     def wire_row(arm, result):
         wire = result.chain_stats["gateway"].get("wire", {})
@@ -196,18 +86,12 @@ def compare_transports(
             / 1e6,
         }
 
-    rows = [
-        wire_row("inprocess", local),
-        wire_row("remote", remote),
-        wire_row("remote+batching", batched),
-    ]
+    rows = [wire_row("inprocess", local), wire_row("remote", remote)]
     result = {
         "size": size,
         "rounds": rounds,
         "rows": rows,
         "remote_trips": rows[1]["rpc_trips"],
-        "batched_trips": rows[2]["rpc_trips"],
-        "trip_reduction": rows[1]["rpc_trips"] / max(rows[2]["rpc_trips"], 1),
     }
     _CACHE[key] = result
     return result
@@ -217,58 +101,25 @@ def _print_transports(result: dict) -> None:
     print()
     print(
         render_table(
-            f"X5b: transport pricing ({result['size']} peers, {result['rounds']} rounds)",
+            f"X5: transport pricing ({result['size']} peers, {result['rounds']} rounds)",
             ["arm", "rpc trips/round", "wire MB"],
             [
-                [row["arm"], f"{row['trips_per_round']:.0f}", f"{row['wire_mb']:.1f}"]
+                [row["arm"], f"{row['trips_per_round']:.0f}", f"{row['wire_mb']:.2f}"]
                 for row in result["rows"]
             ],
         )
     )
 
 
-def test_batching_cuts_round_trips(benchmark, smoke):
-    """>= 3x fewer contract-call round trips per round, outputs unchanged.
+def test_remote_transport_priced(benchmark, smoke):
+    """The remote arm pays real wire; the in-process arm pays none.
 
-    The equality assertions live inside :func:`compare_gateways`, so this
-    single entry point is both the acceptance gate and the equivalence
-    proof.  The reduction is deterministic (it counts requests, not
-    seconds), so the floor is safe for tier-1.
-    """
-    result = run_once(benchmark, lambda: compare_gateways(**gateway_params(smoke)))
-    _print_comparison(result)
-    assert result["trip_reduction"] >= ROUND_TRIP_FLOOR, (
-        f"expected >= {ROUND_TRIP_FLOOR}x fewer round trips, "
-        f"got {result['trip_reduction']:.2f}x"
-    )
-    assert result["cache_hits"] > 0
-
-
-def test_batching_serves_identical_bytes(benchmark, smoke):
-    """Cache hits shrink transport response traffic, never its content."""
-    result = run_once(benchmark, lambda: compare_gateways(**gateway_params(smoke)))
-    assert result["batched_response_bytes"] < result["raw_response_bytes"]
-    # Requested-profile parity: the FL layer's read pattern is unchanged.
-    assert (
-        result["raw"]["requested"]["requested_reads"]
-        == result["batched"]["requested"]["requested_reads"]
-    )
-    assert result["raw"]["requested"]["submits"] == result["batched"]["requested"]["submits"]
-
-
-def test_remote_transport_priced_and_batched(benchmark, smoke):
-    """Remote arms pay real wire; batching never adds trips on top.
-
-    Byte-identity across all three arms is asserted inside
+    Byte-identity across both arms is asserted inside
     :func:`compare_transports`; the trip counts are deterministic
-    functions of the read pattern, so the bounds need no slack.  The
-    protocol-level coalescing (see module docstring) means batching is
-    trip-neutral over the wire — the hard contract is that the pushed
-    head signal keeps it from costing a validation round trip per read.
+    functions of the read pattern, so the bounds need no slack.
     """
     result = run_once(benchmark, lambda: compare_transports(**gateway_params(smoke)))
     _print_transports(result)
     assert result["rows"][0]["rpc_trips"] == 0  # in-process: no wire
     assert result["remote_trips"] > 0
     assert result["rows"][1]["wire_mb"] > 0
-    assert result["batched_trips"] <= result["remote_trips"]

@@ -1,19 +1,17 @@
-"""X5 — combination-scoring engine: serial vs memoized vs parallel.
+"""X5 — combination-scoring engine: serial vs memoized.
 
 ROADMAP item (c): the per-peer combination search dominates wall-clock at
-25+ peers.  This bench times the same exhaustive search three ways over
+25+ peers.  This bench times the same exhaustive search two ways over
 10/25/50-update profiles of the paper's ~62k-parameter SimpleNN:
 
 * **serial** — the seed path (:func:`repro.fl.selection.enumerate_combinations`):
   a full FedAvg recompute per subset plus a full save/restore of the
   scratch model around every evaluation;
-* **memoized** — :class:`repro.fl.scoring.CombinationEngine` with
-  ``workers=0``: pre-scaled incremental subset sums (one add + scale per
-  subset), one lazy save/restore per search, content-addressed score
-  memoization;
-* **parallel** — the same engine with ``workers=2`` (deterministic
-  chunking; results are bit-identical to the other two by contract, which
-  this bench asserts on every run).
+* **memoized** — :class:`repro.fl.scoring.CombinationEngine`:
+  pre-scaled incremental subset sums (one add + scale per subset), one
+  lazy save/restore per search, content-addressed score memoization
+  (results are identical to the serial path by contract, which this
+  bench asserts on every run).
 
 Larger profiles cap the subset size (25 -> up to quadruples, 50 ->
 pairs), the way a fitness-gated deployment bounds its search; the
@@ -85,15 +83,13 @@ def build_profile(
     return model, Dataset(x, y), updates
 
 
-def compare_engines(
-    n_updates: int, max_size, n_test: int = 64, seed: int = 0, workers: int = 2
-) -> dict:
-    """Time the three implementations on one profile; assert equivalence.
+def compare_engines(n_updates: int, max_size, n_test: int = 64, seed: int = 0) -> dict:
+    """Time both implementations on one profile; assert equivalence.
 
     The equivalence check *is* part of the bench: a speedup that changed
     any member set or accuracy would be a bug, not a win.
     """
-    key = (n_updates, max_size, n_test, seed, workers)
+    key = (n_updates, max_size, n_test, seed)
     if key in _CACHE:
         return _CACHE[key]
     model, test_set, updates = build_profile(n_updates, n_test, seed)
@@ -107,14 +103,8 @@ def compare_engines(
     memoized = engine.enumerate(updates, max_size=max_size)
     memoized_s = time.perf_counter() - start
 
-    parallel_engine = CombinationEngine(model, test_set, workers=workers)
-    start = time.perf_counter()
-    parallel = parallel_engine.enumerate(updates, max_size=max_size)
-    parallel_s = time.perf_counter() - start
-
     reference = [(result.members, result.accuracy) for result in serial]
     assert reference == [(r.members, r.accuracy) for r in memoized], "memoized path diverged"
-    assert reference == [(r.members, r.accuracy) for r in parallel], "parallel path diverged"
 
     # Cache contract: one real evaluation per distinct subset, then the
     # fitness gate and a re-enumeration are served entirely from cache.
@@ -127,7 +117,6 @@ def compare_engines(
         "subsets": len(serial),
         "serial_s": serial_s,
         "memoized_s": memoized_s,
-        "parallel_s": parallel_s,
         "speedup": serial_s / memoized_s,
         "evaluations": evaluations,
         "reuse_evaluations": engine.cache.stats["misses"] - evaluations,
@@ -170,7 +159,6 @@ def _rows(results: list[dict]) -> list[list[str]]:
             str(result["subsets"]),
             f"{result['serial_s']:.2f}",
             f"{result['memoized_s']:.2f}",
-            f"{result['parallel_s']:.2f}",
             f"{result['speedup']:.2f}x",
         ]
         for result in results
@@ -188,7 +176,7 @@ def test_engine_speedup(benchmark, smoke):
     print(
         render_table(
             "X5: combination-scoring engine (exhaustive search)",
-            ["updates", "max size", "subsets", "serial s", "memoized s", "parallel s", "speedup"],
+            ["updates", "max size", "subsets", "serial s", "memoized s", "speedup"],
             _rows(results),
         )
     )

@@ -14,7 +14,7 @@ package provides the equivalent substrate in-process:
 * :mod:`repro.chain.node` — a full node (validate, execute, mine).
 * :mod:`repro.chain.network` — gossip network with latency and partitions.
 * :mod:`repro.chain.gateway` — the transport-agnostic ledger service API
-  the FL layer programs against (in-process and batching backends).
+  the FL layer programs against (the in-process transport).
 * :mod:`repro.chain.scale` — scale-out machinery: deterministic parallel
   transaction execution, spillable cold block/receipt storage, and
   root-verified snapshot state-sync.
@@ -34,7 +34,6 @@ from repro.chain.scale import ColdStore, ColdStoreStats, ExecutionStats
 from repro.chain.node import GenesisSpec, Node, NodeConfig
 from repro.chain.network import P2PNetwork, LatencyModel
 from repro.chain.gateway import (
-    BatchingGateway,
     CallRequest,
     ChainGateway,
     GatewayStats,
@@ -80,7 +79,6 @@ __all__ = [
     "NodeConfig",
     "P2PNetwork",
     "LatencyModel",
-    "BatchingGateway",
     "CallRequest",
     "ChainGateway",
     "GatewayStats",

@@ -6,33 +6,23 @@ narrow JSON-RPC-flavored service protocol (``call`` / ``batch_call`` /
 ``submit`` / ``height`` / ``head_hash`` / ``has_contract`` / ``get_logs``
 / ``next_nonce`` / ``wait_for``).  That seam is what lets peers later run
 out-of-process or against a remote chain without touching the FL code,
-and it is where read batching/caching lives.
+and it is where read memoization lives.
 
-Two backends ship today:
+:class:`InProcessGateway` is the in-process transport: it wraps a local
+``Node`` (plus the simulated p2p network for submissions and the event
+engine for waits).  Behavior is bit-identical to the pre-gateway direct
+calls, which the equivalence tests pin.  Contract reads are memoized
+per canonical head: read-only contract state is a pure function of the
+head, so a repeated read of an unchanged head returns the value (and
+byte counts) of its first execution instead of re-running the contract
+and re-encoding the response.  Wait-for-all quorum polling re-reads the
+same submissions after every simulator event; the memo makes those
+polls cost a dict lookup.  The out-of-process transport
+(:class:`~repro.runtime.gateway.RemoteGateway`) and the fault/retry
+decorators (:mod:`repro.faults.gateway`) implement the same protocol.
 
-* :class:`InProcessGateway` — wraps a local ``Node`` (plus the simulated
-  p2p network for submissions and the event engine for waits).  Behavior
-  is bit-identical to the pre-gateway direct calls, which the
-  equivalence tests pin.  Contract reads are memoized per canonical
-  head: read-only contract state is a pure function of the head, so a
-  repeated read of an unchanged head returns the value (and byte
-  counts) of its first execution instead of re-running the contract and
-  re-encoding the response.  Wait-for-all quorum polling re-reads the
-  same submissions after every simulator event; the memo makes those
-  polls cost a dict lookup.
-* :class:`BatchingGateway` — wraps any other gateway and coalesces the
-  per-round fan-out of contract reads (registration checks, visible-
-  submission polls, reputation reads, finalization polls) behind a
-  head-keyed cache with a bounded staleness window.  Read-only contract
-  state is a pure function of the canonical head, so serving repeated
-  polls of an unchanged head from cache is *exactly* result-preserving —
-  only the number of transport round trips changes (the property
-  ``bench_chain_gateway.py`` measures).  Over an in-process transport
-  the memo above already serves repeated reads, so what it still saves
-  is wire round trips to an out-of-process gateway.
-
-Values returned by reads may be shared between calls (both backends
-memoize them), so callers must treat them as read-only.
+Values returned by reads may be shared between calls (the memo hands
+out the stored object), so callers must treat them as read-only.
 
 Transport failures surface as typed :class:`~repro.errors.GatewayError`
 subclasses — unknown contract, unknown method, reverted call, rejected
@@ -70,13 +60,6 @@ from repro.utils.serialization import canonical_dumps
 #: Default wait deadline (simulated seconds) when the caller gives none.
 DEFAULT_WAIT_DEADLINE = 100_000.0
 
-#: The gateway backends shipping today — the single source every layer
-#: (scenario spec, driver config, CLI) validates backend names against.
-GATEWAY_BACKENDS = ("inprocess", "batching")
-
-#: Cache entries a :class:`BatchingGateway` keeps before sweeping stale ones.
-BATCH_CACHE_LIMIT = 4096
-
 
 def _payload_bytes(value: Any) -> int:
     """Wire-size estimate of one request/response payload."""
@@ -109,9 +92,10 @@ class GatewayStats:
 
     ``calls`` counts single-read round trips and ``batch_calls`` counts
     batched round trips (each batch is one trip carrying ``batched_reads``
-    reads) — ``contract_call_round_trips`` is the number the batching
-    benchmark compares across backends.  ``cache_hits`` / ``head_checks``
-    are populated by the batching backend only.
+    reads) — ``contract_call_round_trips`` is the number of contract-read
+    trips a transport performed.  ``cache_hits`` counts stale reads the
+    fault layer served from its remembered values; ``head_checks``
+    counts ``head_hash`` calls.
     """
 
     calls: int = 0
@@ -436,176 +420,12 @@ class InProcessGateway:
         raise GatewayTimeoutError(f"timed out waiting for {what} at t={sim.now:.1f}")
 
 
-@dataclass
-class _CacheEntry:
-    head: str
-    at: float
-    value: Any
-
-
-class BatchingGateway:
-    """Read-coalescing gateway decorator with a bounded staleness window.
-
-    Contract reads (``call`` / ``batch_call`` / ``has_contract``) are
-    served from a cache keyed by the canonical head hash: head state is
-    immutable between head changes, so a hit returns exactly what a fresh
-    round trip would — results are provably unchanged, only transport
-    round trips shrink.  Entries additionally expire ``staleness``
-    transport-seconds after they were fetched (defense in depth for a
-    transport whose head signal lags).  ``batch_call`` answers hits
-    locally and forwards only the misses as one inner round trip.
-
-    Every lookup makes one fresh head observation (``head_hash``),
-    counted separately in ``stats.head_checks`` — in-process that is a
-    local field read; a remote backend is expected to serve it from a
-    pushed new-heads subscription (the standard JSON-RPC pattern), not a
-    per-read request, which is what keeps the coalescing a genuine
-    round-trip win off-process.  Cached values are shared — callers must
-    treat them as read-only (the FL layer does; the same rule a memoizing
-    RPC proxy imposes).  Nonce reads and submissions always pass through.
-    """
-
-    def __init__(self, inner: ChainGateway, staleness: float = 5.0) -> None:
-        if staleness <= 0:
-            raise GatewayError(f"staleness window must be positive, got {staleness}")
-        self.inner = inner
-        self.staleness = staleness
-        self.stats = GatewayStats()
-        self._cache: dict[tuple, _CacheEntry] = {}
-
-    # -- cache core --------------------------------------------------------
-
-    def _fresh(self, entry: _CacheEntry, head: str, now: float) -> bool:
-        return entry.head == head and (now - entry.at) <= self.staleness
-
-    def _remember(self, key: tuple, head: str, now: float, value: Any) -> None:
-        if len(self._cache) >= BATCH_CACHE_LIMIT:
-            self._cache = {
-                k: entry for k, entry in self._cache.items() if self._fresh(entry, head, now)
-            }
-        self._cache[key] = _CacheEntry(head=head, at=now, value=value)
-
-    def _observe(self) -> tuple[str, float]:
-        """One head observation shared by every read of a lookup.
-
-        A transport exposing ``observe_head()`` (the out-of-process
-        gateway does) serves head hash and clock in a single round trip;
-        otherwise two inner reads — free in-process, where both are
-        local field reads.
-        """
-        self.stats.head_checks += 1
-        observe = getattr(self.inner, "observe_head", None)
-        if observe is not None:
-            return observe()
-        return self.inner.head_hash(), self.inner.now()
-
-    # -- reads -------------------------------------------------------------
-
-    def call(self, contract: Address, method: str, **args: Any) -> Any:
-        """Cached read; one inner round trip per (head, request)."""
-        self.stats.calls += 1
-        request = CallRequest(contract, method, args)
-        key = ("call",) + request.key()
-        head, now = self._observe()
-        entry = self._cache.get(key)
-        if entry is not None and self._fresh(entry, head, now):
-            self.stats.cache_hits += 1
-            return entry.value
-        value = self.inner.call(contract, method, **args)
-        self._remember(key, head, now, value)
-        return value
-
-    def batch_call(self, requests: Sequence[CallRequest]) -> list[Any]:
-        """Answer hits from cache; forward misses as one inner round trip."""
-        self.stats.batch_calls += 1
-        self.stats.batched_reads += len(requests)
-        head, now = self._observe()
-        values: list[Any] = [None] * len(requests)
-        misses: list[tuple[int, tuple, CallRequest]] = []
-        for index, request in enumerate(requests):
-            key = ("call",) + request.key()
-            entry = self._cache.get(key)
-            if entry is not None and self._fresh(entry, head, now):
-                self.stats.cache_hits += 1
-                values[index] = entry.value
-            else:
-                misses.append((index, key, request))
-        if misses:
-            fetched = self.inner.batch_call([request for _, _, request in misses])
-            for (index, key, _request), value in zip(misses, fetched):
-                values[index] = value
-                self._remember(key, head, now, value)
-        return values
-
-    def has_contract(self, address: Address) -> bool:
-        """Cached contract-deployed check."""
-        self.stats.contract_checks += 1
-        key = ("has_contract", address)
-        head, now = self._observe()
-        entry = self._cache.get(key)
-        if entry is not None and self._fresh(entry, head, now):
-            self.stats.cache_hits += 1
-            return entry.value
-        value = self.inner.has_contract(address)
-        self._remember(key, head, now, value)
-        return value
-
-    # -- pass-throughs -----------------------------------------------------
-
-    def height(self) -> int:
-        """Canonical height (uncached: it IS the freshness signal)."""
-        self.stats.height_reads += 1
-        return self.inner.height()
-
-    def head_hash(self) -> str:
-        """Canonical head hash from the inner transport."""
-        self.stats.head_checks += 1
-        return self.inner.head_hash()
-
-    def get_logs(
-        self,
-        address: Optional[Address] = None,
-        topic: Optional[str] = None,
-        from_block: int = 0,
-        to_block: Optional[int] = None,
-    ) -> list:
-        """Event queries pass through (range queries are already indexed)."""
-        self.stats.log_queries += 1
-        return self.inner.get_logs(
-            address=address, topic=topic, from_block=from_block, to_block=to_block
-        )
-
-    def next_nonce(self, address: Address) -> int:
-        """Never cached: the pending count moves with every submission."""
-        self.stats.nonce_reads += 1
-        return self.inner.next_nonce(address)
-
-    def submit(self, tx: Transaction) -> str:
-        """Submissions pass through; head-keyed entries stay valid."""
-        self.stats.submits += 1
-        return self.inner.submit(tx)
-
-    def now(self) -> float:
-        """Inner transport clock."""
-        return self.inner.now()
-
-    def wait_for(
-        self,
-        predicate: Callable[[], bool],
-        what: str,
-        deadline: Optional[float] = None,
-    ) -> float:
-        """Delegate the wait; polled reads hit the cache between blocks."""
-        self.stats.waits += 1
-        return self.inner.wait_for(predicate, what, deadline=deadline)
-
-
 def gateway_layers(gateway: ChainGateway) -> list[ChainGateway]:
     """Every layer of a decorated gateway stack, outermost first.
 
     Decorators expose the wrapped gateway as ``.inner`` (the convention
-    ``BatchingGateway`` set and the fault/retry decorators follow), so
-    walking ``inner`` enumerates the whole stack down to the transport.
+    the fault/retry decorators follow), so walking ``inner`` enumerates
+    the whole stack down to the transport.
     """
     layers: list[ChainGateway] = [gateway]
     while hasattr(layers[-1], "inner"):
@@ -616,8 +436,8 @@ def gateway_layers(gateway: ChainGateway) -> list[ChainGateway]:
 def stacked_stats(gateway: ChainGateway) -> GatewayStats:
     """Sum of every layer's counters in a decorated gateway stack.
 
-    Mid-stack telemetry (``faults_injected`` on the fault layer,
-    ``retries`` on the resilience layer, ``cache_hits`` on the batching
+    Mid-stack telemetry (``faults_injected`` and stale-read
+    ``cache_hits`` on the fault layer, ``retries`` on the resilience
     layer) lives on different layers; this is the one view that sees all
     of it at once.
     """
@@ -630,8 +450,8 @@ def stacked_stats(gateway: ChainGateway) -> GatewayStats:
 def transport_stats(gateway: ChainGateway) -> GatewayStats:
     """The stats of the gateway actually touching the transport.
 
-    For a decorated gateway (``BatchingGateway``) that is the innermost
-    backend's counters — the real round trips; for a plain backend it is
-    its own counters.
+    For a decorated gateway (the fault/retry stack) that is the
+    innermost backend's counters — the real round trips; for a plain
+    backend it is its own counters.
     """
     return gateway_layers(gateway)[-1].stats

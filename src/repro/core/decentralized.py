@@ -28,8 +28,6 @@ import numpy as np
 
 from repro.chain.crypto import Address, KeyPair
 from repro.chain.gateway import (
-    GATEWAY_BACKENDS,
-    BatchingGateway,
     CallRequest,
     ChainGateway,
     GatewayStats,
@@ -111,14 +109,10 @@ class DecentralizedConfig:
     combination searches out to that many worker processes; ``0`` stays
     in-process.  Worker count never changes any result.
 
-    ``gateway`` selects the ledger backend every peer talks through
-    (:mod:`repro.chain.gateway`): ``"inprocess"`` wraps each peer's node
-    and memoizes reads per head (bit-identical to the pre-gateway
-    driver), ``"batching"`` coalesces the per-round fan-out of contract
-    reads behind a head-keyed cache whose entries also expire after
-    ``gateway_staleness`` simulated seconds.  Reads are pure functions of
-    the canonical head, so the backend never changes a result — only the
-    number of transport round trips (``chain_stats()["gateway"]``).
+    Every peer talks to the ledger through an
+    :class:`~repro.chain.gateway.InProcessGateway` wrapping its node,
+    which memoizes reads per head (bit-identical to the pre-gateway
+    driver); its counters land in ``chain_stats()["gateway"]``.
 
     ``faults`` (a :class:`~repro.faults.FaultSpec`) activates the
     deterministic fault-injection harness: every peer's gateway stack
@@ -154,8 +148,6 @@ class DecentralizedConfig:
     exhaustive_limit: int = 6
     scoring: str = "engine"
     selection_workers: int = 0
-    gateway: str = "inprocess"
-    gateway_staleness: float = 5.0
     target_block_interval: float = 13.0
     latency: LatencyModel = field(default_factory=LatencyModel)
     gossip_batch_window: float = 0.01
@@ -193,15 +185,6 @@ class DecentralizedConfig:
             raise ConfigError(
                 "selection_workers requires the scoring engine; "
                 'the "serial" reference path is single-process'
-            )
-        if self.gateway not in GATEWAY_BACKENDS:
-            raise ConfigError(
-                f"unknown gateway backend {self.gateway!r}; "
-                f"choose from {GATEWAY_BACKENDS}"
-            )
-        if self.gateway_staleness <= 0:
-            raise ConfigError(
-                f"gateway_staleness must be positive, got {self.gateway_staleness}"
             )
         if not 0.0 <= self.drop_rate < 1.0:
             raise ConfigError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
@@ -482,8 +465,6 @@ class DecentralizedFL:
                     simulator=self.sim,
                     network_stats=self.network.stats,
                 )
-            if config.gateway == "batching":
-                gateway = BatchingGateway(gateway, staleness=config.gateway_staleness)
             if self.fault_injector is not None and config.faults.resilience:
                 gateway = ResilientGateway(gateway, policy=config.faults.retry)
             self.peers[pc.peer_id] = self._build_peer(
@@ -1202,11 +1183,10 @@ class DecentralizedFL:
     def gateway_stats(self) -> dict:
         """Cohort-aggregated ledger-gateway instrumentation.
 
-        ``requested`` sums what the FL layer asked of the peers' gateways;
-        ``transport`` sums what actually reached the ledger transport —
-        identical for the in-process backend, and the round-trip reduction
-        the batching backend is measured by
-        (``benchmarks/bench_chain_gateway.py``).
+        ``requested`` sums what the FL layer asked of the peers' gateways
+        (the top of each stack); ``transport`` sums what actually reached
+        the ledger transport (the bottom).  They coincide without the
+        fault/retry decorators.
         """
         requested = GatewayStats()
         transport = GatewayStats()
@@ -1221,7 +1201,6 @@ class DecentralizedFL:
             transport.add(transport_stats(gateway))
             everything.add(stacked_stats(gateway))
         payload = {
-            "backend": self.config.gateway,
             "requested": requested.as_dict(),
             "transport": transport.as_dict(),
         }

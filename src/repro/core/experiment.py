@@ -161,8 +161,6 @@ def run_decentralized_experiment(
             poll_interval=dec_config.poll_interval,
             latency_base=dec_config.latency.base,
             latency_jitter=dec_config.latency.jitter,
-            gateway=dec_config.gateway,
-            gateway_staleness=dec_config.gateway_staleness,
         ),
     )
     result = sc.run_scenario(spec)

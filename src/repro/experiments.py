@@ -29,7 +29,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-from repro.chain.gateway import GATEWAY_BACKENDS
 from repro.core.config import default_config
 from repro.core.decentralized import DecentralizedConfig
 from repro.core.experiment import run_decentralized_experiment, run_vanilla_experiment
@@ -163,7 +162,6 @@ def _run_named_scenario(
     quick: bool,
     model: str | None,
     workers: int = 0,
-    gateway: str | None = None,
     runtime: str | None = None,
     runtime_workers: int = 0,
     sampled_k: int = 0,
@@ -193,15 +191,6 @@ def _run_named_scenario(
             # combination search to parallelize and keep their field as-is).
             specs = tuple(
                 replace(spec, selection_workers=workers) if spec.kind == "decentralized" else spec
-                for spec in specs
-            )
-        if gateway:
-            # Pure transport knob: ledger reads are head-pure, so the
-            # backend changes round trips, never results.
-            specs = tuple(
-                replace_axis(spec, "chain.gateway", gateway)
-                if spec.kind == "decentralized"
-                else spec
                 for spec in specs
             )
         if runtime or runtime_workers:
@@ -250,7 +239,6 @@ def _run_sweep(
     seed: int,
     quick: bool,
     workers: int = 0,
-    gateway: str | None = None,
     runtime: str | None = None,
     runtime_workers: int = 0,
     sampled_k: int = 0,
@@ -264,7 +252,6 @@ def _run_sweep(
             quick=quick,
             policy=policy,
             selection_workers=workers or None,
-            gateway=gateway,
             runtime=runtime,
             runtime_workers=runtime_workers or None,
             sampled_k=sampled_k or None,
@@ -327,12 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         help="combination-search worker processes (0 = in-process; results identical)",
     )
     run_parser.add_argument(
-        "--gateway",
-        choices=list(GATEWAY_BACKENDS),
-        default=None,
-        help="ledger gateway backend (batching coalesces reads; results identical)",
-    )
-    run_parser.add_argument(
         "--runtime",
         choices=list(RUNTIME_KINDS),
         default=None,
@@ -387,12 +368,6 @@ def main(argv: list[str] | None = None) -> int:
         help="combination-search worker processes (0 = in-process; results identical)",
     )
     sweep_parser.add_argument(
-        "--gateway",
-        choices=list(GATEWAY_BACKENDS),
-        default=None,
-        help="ledger gateway backend (batching coalesces reads; results identical)",
-    )
-    sweep_parser.add_argument(
         "--runtime",
         choices=list(RUNTIME_KINDS),
         default=None,
@@ -439,7 +414,6 @@ def main(argv: list[str] | None = None) -> int:
             args.quick,
             model,
             args.workers,
-            args.gateway,
             args.runtime,
             args.runtime_workers,
             args.sampled_k,
@@ -455,7 +429,6 @@ def main(argv: list[str] | None = None) -> int:
             seed,
             args.quick,
             args.workers,
-            args.gateway,
             args.runtime,
             args.runtime_workers,
             args.sampled_k,

@@ -22,10 +22,10 @@ and an open circuit breaker surface as the single typed
 drop a peer from the current round instead of aborting the run.
 
 Both decorators expose the wrapped gateway as ``.inner``, composing with
-:class:`~repro.chain.gateway.BatchingGateway` and the stack-walking stats
-helpers.  Canonical per-peer stack, outermost first::
+the stack-walking stats helpers (:func:`~repro.chain.gateway.gateway_layers`).
+Canonical per-peer stack, outermost first::
 
-    ResilientGateway -> [BatchingGateway ->] FaultyGateway -> InProcessGateway
+    ResilientGateway -> FaultyGateway -> InProcessGateway
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Parallel, memoized combination-scoring engine.
+"""Memoized combination-scoring engine.
 
 The paper's "consider" aggregation makes every peer score subsets of the
 models it received on its private test set each round.  The seed
@@ -40,24 +40,20 @@ FedAvg over a subset is ``(sum_k n_k * w_k) / (sum_k n_k)``.  The engine
 pre-scales each update once (``n_k * w_k``) and walks subsets
 depth-first, extending a running left-to-right sum — each subset costs
 one tensor add and one scale instead of a stack-and-tensordot over all
-members.  The summation order (sorted members, left to right) is fixed,
-so serial and parallel runs produce bit-identical aggregates.  The
-scratch model's own weights are saved once per search and restored once
-at the end (lazily: a search served entirely from cache never touches
-the model), instead of the seed's save/restore around every call.
+members.  The summation order (sorted members, left to right) is fixed.
+The scratch model's own weights are saved once per search and restored
+once at the end (lazily: a search served entirely from cache never
+touches the model), instead of the seed's save/restore around every
+call.
 
 Determinism contract
 --------------------
-For every mode (serial, ``workers > 0``) and both strategies
-(exhaustive, greedy), the engine returns the same chosen members, the
-same accuracy table, and consumes tie-break RNG draws exactly like the
-serial reference in :mod:`repro.fl.selection`:
+For both strategies (exhaustive, greedy), the engine returns the same
+chosen members, the same accuracy table, and consumes tie-break RNG
+draws exactly like the serial reference in :mod:`repro.fl.selection`:
 
 * subsets are enumerated in a fixed order and re-sorted by
   ``(-accuracy, members)`` exactly like the reference;
-* parallel runs chunk that fixed enumeration contiguously, workers score
-  their chunks with the same left-to-right arithmetic, and results merge
-  back in submission order — worker count never changes any value;
 * tie-breaking happens in the parent via
   :func:`repro.fl.selection.pick_best` with the caller's RNG, so the
   stream sees one draw per multi-way tie, same as the reference;
@@ -165,84 +161,8 @@ class ScoredSubset:
         return ",".join(self.members)
 
 
-# ---------------------------------------------------------------------------
-# Worker-process plumbing (opt-in parallelism)
-# ---------------------------------------------------------------------------
-
-#: Per-process search state installed by the pool initializer.
-_WORKER_STATE: dict = {}
-
-
-def _init_subset_worker(model: Sequential, test_x, test_y, payload, batch_size: int) -> None:
-    """Install one peer's search state in a pool worker.
-
-    ``payload`` is ``[(client_id, weights, num_samples), ...]`` in the
-    engine's canonical (sorted) order; the scaled tensors are precomputed
-    here once so chunk tasks only pay adds.
-    """
-    keys = sorted(payload[0][1])
-    params = model.parameters()
-    if set(keys) != set(params):
-        raise SelectionError(f"weight keys {keys} do not match model {sorted(params)}")
-    for key in keys:
-        if params[key].shape != payload[0][1][key].shape:
-            raise SelectionError(
-                f"{key}: shape {payload[0][1][key].shape} != model {params[key].shape}"
-            )
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(
-        model=model,
-        test_x=test_x,
-        test_y=test_y,
-        batch_size=batch_size,
-        keys=keys,
-        payload=payload,
-        scaled=[{key: num * weights[key] for key in keys} for _, weights, num in payload],
-        params=model.parameters(),
-        cache={},
-    )
-
-
-def _worker_evaluate(weights: dict[str, np.ndarray]) -> float:
-    state = _WORKER_STATE
-    params = state["params"]
-    for key in state["keys"]:
-        np.copyto(params[key], weights[key])
-    return state["model"].evaluate_accuracy(
-        state["test_x"], state["test_y"], batch_size=state["batch_size"]
-    )
-
-
-def _worker_subset_accuracy(index_tuple: tuple[int, ...]) -> float:
-    """Accuracy of one subset, with the engine's exact arithmetic."""
-    state = _WORKER_STATE
-    cached = state["cache"].get(index_tuple)
-    if cached is not None:
-        return cached
-    payload, scaled, keys = state["payload"], state["scaled"], state["keys"]
-    if len(index_tuple) == 1:
-        weights = payload[index_tuple[0]][1]
-    else:
-        sums = scaled[index_tuple[0]]
-        for index in index_tuple[1:]:
-            member = scaled[index]
-            sums = {key: sums[key] + member[key] for key in keys}
-        total = sum(payload[index][2] for index in index_tuple)
-        weights = {key: sums[key] / total for key in keys}
-    accuracy = _worker_evaluate(weights)
-    state["cache"][index_tuple] = accuracy
-    state["evaluations"] = state.get("evaluations", 0) + 1
-    return accuracy
-
-
-def _score_chunk(chunk: list[tuple[int, ...]]) -> tuple[list[float], int]:
-    """Score a contiguous chunk of subsets; returns (accuracies, evals)."""
-    _WORKER_STATE["evaluations"] = 0
-    return [_worker_subset_accuracy(indices) for indices in chunk], _WORKER_STATE["evaluations"]
-
-
 class CombinationEngine:
-    """Memoized (optionally parallel) combination scorer for one peer.
+    """Memoized combination scorer for one peer.
 
     One engine wraps one scratch ``model`` and one private ``test_set``
     and exposes the same searches as :mod:`repro.fl.selection` —
@@ -250,8 +170,6 @@ class CombinationEngine:
     :meth:`threshold_filter` — with identical results (see the module
     docstring's determinism contract).
 
-    ``workers=0`` runs in-process; ``workers > 0`` fans subset scoring
-    out to a fork-based process pool with deterministic chunking.
     ``instrument``, when set, is called with the cache key before every
     *real* model evaluation (cache hits never fire it).
     """
@@ -262,17 +180,13 @@ class CombinationEngine:
         test_set: Dataset,
         aggregator: Aggregator = fedavg,
         cache: Optional[EvaluationCache] = None,
-        workers: int = 0,
         batch_size: int = 512,
         instrument: Optional[Callable[[object], None]] = None,
     ) -> None:
-        if workers < 0:
-            raise SelectionError(f"workers must be >= 0, got {workers}")
         self.model = model
         self.test_set = test_set
         self.aggregator = aggregator
         self.cache = cache if cache is not None else EvaluationCache()
-        self.workers = workers
         self.batch_size = batch_size
         self.instrument = instrument
         self.test_set_id = dataset_fingerprint(test_set)
@@ -414,8 +328,6 @@ class CombinationEngine:
         try:
             if not self._incremental:
                 scored = self._enumerate_generic(ordered, min_size, limit)
-            elif self.workers > 0:
-                scored = self._enumerate_parallel(ordered, keys, min_size, limit)
             else:
                 scored = self._enumerate_serial(ordered, keys, min_size, limit)
         finally:
@@ -470,7 +382,7 @@ class CombinationEngine:
         """Cached FedAvg-subset accuracy from a packed sum vector.
 
         Element-wise ops never reassociate, so the packed add/divide are
-        bit-identical to the per-key path the workers (and greedy) use.
+        bit-identical to the per-key path greedy uses.
         """
         cached = self.cache.lookup(key_obj)
         if cached is not None:
@@ -565,80 +477,6 @@ class CombinationEngine:
 
         visit(0, (), (), None, 0, 0)
         return out
-
-    def _enumerate_parallel(
-        self, ordered: list[ModelUpdate], keys: list[str], min_size: int, limit: int
-    ) -> list[ScoredSubset]:
-        """Chunked pool enumeration; merge order is the submission order."""
-        fingerprints = self._fingerprints(ordered)
-        n = len(ordered)
-        subsets = [
-            indices
-            for size in range(min_size, limit + 1)
-            for indices in iter_combinations(range(n), size)
-        ]
-
-        def key_of(indices: tuple[int, ...]) -> object:
-            if len(indices) == 1:
-                return (fingerprints[indices[0]], self.test_set_id)
-            return self._subset_key(
-                tuple((fingerprints[i], ordered[i].num_samples) for i in indices)
-            )
-
-        # Serve already-known subsets from the cache; only the remainder
-        # is farmed out, in its original (deterministic) order.
-        accuracies: dict[tuple[int, ...], float] = {}
-        pending: list[tuple[int, ...]] = []
-        for indices in subsets:
-            cached = self.cache.lookup(key_of(indices))
-            if cached is not None:
-                accuracies[indices] = cached
-            else:
-                pending.append(indices)
-        if pending:
-            executor = self._executor(ordered)
-            if executor is None:
-                return self._enumerate_serial(ordered, keys, min_size, limit)
-            try:
-                with executor:
-                    chunk_size = max(
-                        1, (len(pending) + 4 * self.workers - 1) // (4 * self.workers)
-                    )
-                    chunks = [
-                        pending[start : start + chunk_size]
-                        for start in range(0, len(pending), chunk_size)
-                    ]
-                    for chunk, (chunk_accs, _evals) in zip(
-                        chunks, executor.map(_score_chunk, chunks)
-                    ):
-                        for indices, accuracy in zip(chunk, chunk_accs):
-                            self.cache.absorb(key_of(indices), accuracy)
-                            accuracies[indices] = accuracy
-            except (BrokenExecutor, OSError):  # pragma: no cover - host-dependent
-                # Workers spawn lazily, so a host that cannot fork fails
-                # here, not at pool construction.  Already-absorbed chunks
-                # stay valid cache entries; the serial path reuses them.
-                return self._enumerate_serial(ordered, keys, min_size, limit)
-        return [
-            ScoredSubset(tuple(ordered[i].client_id for i in indices), accuracies[indices])
-            for indices in subsets
-        ]
-
-    def _executor(self, ordered: list[ModelUpdate]) -> Optional[ProcessPoolExecutor]:
-        """A pool primed with this search's state, or None if the host
-        cannot fork (the engine then degrades to the serial path)."""
-        payload = [
-            (update.client_id, update.weights, update.num_samples) for update in ordered
-        ]
-        try:
-            return ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_subset_worker,
-                initargs=(self.model, self.test_set.x, self.test_set.y, payload, self.batch_size),
-            )
-        except (OSError, ValueError):  # pragma: no cover - host-dependent
-            return None
 
     def materialize(
         self, members: Sequence[str], updates: Sequence[ModelUpdate], accuracy: float
@@ -800,6 +638,9 @@ class CombinationEngine:
 # ---------------------------------------------------------------------------
 # Peer-level fan-out (DecentralizedFL: independent searches in parallel)
 # ---------------------------------------------------------------------------
+
+#: Per-process search state installed by the pool initializer.
+_WORKER_STATE: dict = {}
 
 
 def _init_peer_worker(

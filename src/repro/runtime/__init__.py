@@ -9,7 +9,7 @@ without changing a single result byte:
 * :mod:`~repro.runtime.gateway` — :class:`RemoteGateway` /
   :class:`RemoteOffchain`, the worker-side
   :class:`~repro.chain.gateway.ChainGateway` implementation (stackable
-  under the batching/resilience decorators like any other backend);
+  under the fault/resilience decorators like any other backend);
 * :mod:`~repro.runtime.server` — :class:`GatewayServer`, the
   coordinator-side dispatcher answering one RPC frame at a time;
 * :mod:`~repro.runtime.broker` / :mod:`~repro.runtime.worker` /

@@ -84,7 +84,6 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
         self.server: Optional[GatewayServer] = None
         self._exports: dict[str, bytes] = {}
         self._worker_stats: list[dict] = []
-        self._stamp_epoch = 0
         super().__init__(
             peer_configs,
             {},
@@ -173,12 +172,11 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
         """
         results: dict[int, tuple] = {}
         pending = set(tasks)
-        stamp = self._head_stamp()
         selector = selectors.DefaultSelector()
         try:
             for index in sorted(tasks):
                 handle = self.handles[index]
-                handle.channel.send({"kind": "task", "head": stamp, **tasks[index]})
+                handle.channel.send({"kind": "task", **tasks[index]})
                 selector.register(handle.channel.sock, selectors.EVENT_READ, handle)
             while pending:
                 events = selector.select(timeout=1.0)
@@ -218,31 +216,6 @@ class MultiprocessDecentralizedFL(DecentralizedFL):
 
     def _run_task(self, index: int, op: str, params: dict) -> tuple:
         return self._run_tasks({index: {"op": op, "params": params}})[index]
-
-    def _head_stamp(self) -> dict:
-        """Freshness token pushed with every task frame.
-
-        The event engine only pumps in ``_wait_until``/``wait_for`` —
-        never while workers hold parallel tasks — so a stamp taken at
-        dispatch stays valid for the batch's whole lifetime.  It is the
-        "pushed new-heads subscription" the batching gateway's contract
-        expects of a remote transport: worker-side cache lookups
-        validate against it for zero round trips.
-
-        The token is epoch-prefixed so it can never repeat across
-        dispatch batches: peers hold *per-node* chain views (gossip
-        lag), and a bare head hash from one node could coincide across
-        a pump that changed another node's view.  Epoch uniqueness
-        bounds cache reuse to one frozen-chain window, which keeps the
-        shared signal provably exact for every peer.
-        """
-        assert self.server is not None
-        self._stamp_epoch += 1
-        gateway = next(iter(self.server.gateways.values()))
-        return {
-            "hash": f"{self._stamp_epoch}:{gateway.head_hash()}",
-            "now": gateway.now(),
-        }
 
     def _check_workers_alive(self, pending: set) -> None:
         for index in sorted(pending):

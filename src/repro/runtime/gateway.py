@@ -4,9 +4,7 @@
 protocol over a :class:`~repro.runtime.wire.WireChannel`: every method is
 one RPC frame to the coordinator's :class:`~repro.runtime.server.GatewayServer`,
 which routes it into the peer's own in-process gateway.  It stacks under
-the existing decorators exactly like the in-process backend — a worker
-running ``BatchingGateway(RemoteGateway(...))`` turns the head-keyed read
-cache into a real latency shield across the process boundary.
+the existing decorators exactly like the in-process backend.
 
 :class:`RemoteOffchain` mirrors the :class:`~repro.core.offchain.OffchainStore`
 surface the FL layer uses.  Weight payloads cross the wire exactly once
@@ -14,7 +12,7 @@ in each direction as codec-v2 blobs and are decoded/cached in a local
 store, so repeated reads of the same commitment never re-transfer bytes.
 
 Wire telemetry (bytes, round trips, per-method latency) lands in the
-standard :class:`~repro.chain.gateway.GatewayStats` fields this PR added;
+standard :class:`~repro.chain.gateway.GatewayStats` wire fields;
 the latency reads use ``time.perf_counter`` and are allowlisted by the
 wall-clock lint alongside the in-process gateway's ``read_seconds``.
 """
@@ -70,31 +68,6 @@ def rpc(
     return response.get("value"), out_blobs
 
 
-class HeadSignal:
-    """Latest freshness token the coordinator pushed, shared worker-wide.
-
-    The coordinator stamps every task frame with ``(token, clock)``; the
-    chain can only advance while the event engine pumps — i.e. inside a
-    ``wait_for`` — so between the stamp and the next wait the token
-    identifies one frozen-chain window exactly.  This is the "pushed
-    new-heads subscription" the batching gateway's contract expects of a
-    remote transport: serving ``observe_head`` from it makes a cache
-    validation cost zero round trips instead of one.
-
-    The token is an *opaque window id* (epoch-prefixed head hash), not a
-    verbatim head hash: peers hold per-node chain views, so no single
-    node's hash could stand in for all of them across windows.  One
-    instance per worker, shared by every peer's transport: any peer's
-    wait invalidates the signal for all of them (the pump moved the
-    whole chain, not one peer's view of it).
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: Optional[tuple[str, float]] = None
-
-
 class RemoteGateway:
     """:class:`ChainGateway` backend that reaches the ledger over the wire.
 
@@ -110,12 +83,10 @@ class RemoteGateway:
         channel: WireChannel,
         peer_id: str,
         default_deadline: float = DEFAULT_WAIT_DEADLINE,
-        head_signal: Optional[HeadSignal] = None,
     ) -> None:
         self.channel = channel
         self.peer_id = peer_id
         self.default_deadline = default_deadline
-        self.head_signal = head_signal
         self.stats = GatewayStats()
 
     def _rpc(
@@ -155,24 +126,6 @@ class RemoteGateway:
         self.stats.head_checks += 1
         value, _ = self._rpc("head_hash")
         return str(value)
-
-    def observe_head(self) -> tuple[str, float]:
-        """Freshness token and clock — pushed signal first, RPC else.
-
-        The pushed :class:`HeadSignal` is exact whenever set (the chain
-        is frozen between the coordinator's stamp and the next wait), so
-        batching lookups normally pay no wire cost here; the RPC is the
-        cold-start fallback and its result (this peer's real head hash,
-        an equally valid window id) re-primes the signal.
-        """
-        signal = self.head_signal
-        if signal is not None and signal.value is not None:
-            return signal.value
-        value, _ = self._rpc("observe_head")
-        observed = (str(value["head"]), float(value["now"]))
-        if signal is not None:
-            signal.value = observed
-        return observed
 
     def has_contract(self, address: Address) -> bool:
         self.stats.contract_checks += 1
@@ -237,22 +190,14 @@ class RemoteGateway:
                 "cannot cross the process boundary"
             )
         self.stats.waits += 1
-        try:
-            value, _ = self._rpc(
-                "wait_for",
-                {
-                    "condition": predicate.to_dict(),
-                    "what": what,
-                    "deadline": deadline if deadline is not None else self.default_deadline,
-                },
-            )
-        finally:
-            # The wait pumped the coordinator's event engine — the only
-            # way the chain advances mid-task — so the pushed head
-            # observation (every transport's, not just this peer's) is
-            # stale until the next task stamp or cold observe.
-            if self.head_signal is not None:
-                self.head_signal.value = None
+        value, _ = self._rpc(
+            "wait_for",
+            {
+                "condition": predicate.to_dict(),
+                "what": what,
+                "deadline": deadline if deadline is not None else self.default_deadline,
+            },
+        )
         return float(value)
 
 

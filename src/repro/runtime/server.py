@@ -43,9 +43,9 @@ class GatewayServer:
     def __init__(
         self, gateways: dict[str, ChainGateway], offchain: OffchainStore
     ) -> None:
-        # Route to the innermost layer: worker-side decorators (batching,
-        # resilience) already ran client-side; re-entering a coordinator-
-        # side decorator would double-count and double-cache.
+        # Route to the innermost layer: the worker's gateway already
+        # counted the call client-side; re-entering a coordinator-side
+        # decorator would count it twice.
         self.gateways = {
             peer_id: gateway_layers(gateway)[-1] for peer_id, gateway in gateways.items()
         }
@@ -117,8 +117,6 @@ class GatewayServer:
             return gateway.height(), ()
         if method == "head_hash":
             return gateway.head_hash(), ()
-        if method == "observe_head":
-            return {"head": gateway.head_hash(), "now": gateway.now()}, ()
         if method == "has_contract":
             return gateway.has_contract(params["address"]), ()
         if method == "get_logs":

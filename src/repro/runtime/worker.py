@@ -36,7 +36,7 @@ import traceback
 from typing import Optional
 
 from repro.chain.crypto import KeyPair
-from repro.chain.gateway import BatchingGateway, GatewayStats
+from repro.chain.gateway import GatewayStats
 from repro.errors import (
     GatewayError,
     NetworkError,
@@ -44,7 +44,7 @@ from repro.errors import (
     WireProtocolError,
 )
 from repro.nn.serialize import weights_to_bytes
-from repro.runtime.gateway import HeadSignal, RemoteGateway, RemoteOffchain
+from repro.runtime.gateway import RemoteGateway, RemoteOffchain
 from repro.runtime.wire import WireChannel, WireClosedError, connect, encode_error
 from repro.utils.rng import RngFactory
 
@@ -80,11 +80,9 @@ class WorkerRuntime:
         self.index = index
         self.config = None
         self.peers: dict[str, object] = {}
-        self.transports: dict[str, RemoteGateway] = {}
         self.engines: dict[str, object] = {}
         self._offchain_stats = GatewayStats()
         self.offchain = RemoteOffchain(channel, stats=self._offchain_stats)
-        self.head_signal = HeadSignal()
         self.reputation_address: Optional[str] = None
         self.addresses: dict[str, str] = {}
         self.id_of: dict[str, str] = {}
@@ -109,11 +107,6 @@ class WorkerRuntime:
                     }
                 )
                 continue
-            stamp = header.get("head")
-            if stamp is not None:
-                # The coordinator's per-task head push; exact until the
-                # next wait_for pumps the chain (see HeadSignal).
-                self.head_signal.value = (str(stamp["hash"]), float(stamp["now"]))
             op = header.get("op", "")
             if op == "shutdown":
                 self.channel.send({"kind": "result", "value": "bye"})
@@ -192,16 +185,10 @@ class WorkerRuntime:
                 continue
             if pc.peer_id not in plan.ever_active:
                 continue  # registered on chain, never trains: no peer here
-            transport = RemoteGateway(
+            gateway = RemoteGateway(
                 self.channel,
                 pc.peer_id,
                 default_deadline=inputs.config.max_round_time,
-                head_signal=self.head_signal,
-            )
-            gateway = (
-                BatchingGateway(transport, staleness=inputs.config.gateway_staleness)
-                if inputs.config.gateway == "batching"
-                else transport
             )
             peer = FullPeer(
                 config=pc,
@@ -217,7 +204,6 @@ class WorkerRuntime:
                 ),
             )
             self.peers[pc.peer_id] = peer
-            self.transports[pc.peer_id] = transport
             if inputs.config.scoring == "engine":
                 self.engines[pc.peer_id] = CombinationEngine(
                     peer.client.model, peer.client.test_set
@@ -360,9 +346,10 @@ class WorkerRuntime:
         requested = GatewayStats()
         for peer in self.peers.values():
             requested.add(peer.gateway.stats)
+        # Every peer's gateway is its wire transport; the wire view adds
+        # the worker's off-chain traffic.
         wire = GatewayStats()
-        for transport in self.transports.values():
-            wire.add(transport.stats)
+        wire.add(requested)
         wire.add(self._offchain_stats)
         return {
             "worker": self.index,

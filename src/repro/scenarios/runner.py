@@ -385,8 +385,6 @@ def decentralized_inputs(
         selection=spec.selection,
         exhaustive_limit=spec.exhaustive_limit,
         selection_workers=spec.selection_workers,
-        gateway=spec.chain.gateway,
-        gateway_staleness=spec.chain.gateway_staleness,
         target_block_interval=spec.chain.target_block_interval,
         latency=LatencyModel(base=spec.chain.latency_base, jitter=spec.chain.latency_jitter),
         gossip_batch_window=spec.chain.gossip_batch_window,

@@ -29,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.chain.gateway import GATEWAY_BACKENDS
 from repro.core.config import MODEL_LEARNING_RATES, ExperimentConfig
 from repro.core.participation import ParticipationSpec
 from repro.data.synthetic import SyntheticSpec
@@ -261,14 +260,6 @@ class HeterogeneitySpec:
 class ChainSpec:
     """Blockchain/network parameters of the simulated deployment.
 
-    ``gateway`` selects the ledger backend every peer talks through
-    (:mod:`repro.chain.gateway`): ``"inprocess"`` delegates straight to
-    the peer's node, ``"batching"`` coalesces the per-round read fan-out
-    behind a head-keyed cache whose entries also expire after
-    ``gateway_staleness`` simulated seconds.  The backend never changes a
-    result — only transport round trips (a sweepable axis:
-    ``replace_axis(spec, "chain.gateway", "batching")``).
-
     ``drop_rate`` makes the p2p links lossy: each gossiped message is
     dropped with that probability, drawn from the dedicated
     ``network/drop`` stream so sweeping it never perturbs latency draws.
@@ -290,8 +281,6 @@ class ChainSpec:
     latency_base: float = 0.05
     latency_jitter: float = 0.02
     drop_rate: float = 0.0
-    gateway: str = "inprocess"
-    gateway_staleness: float = 5.0
     execution: str = "serial"
     execution_workers: int = 0
     parallel_min_txs: int = 64
@@ -310,15 +299,6 @@ class ChainSpec:
             raise ConfigError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
         if self.max_round_time <= 0:
             raise ConfigError("max_round_time must be positive")
-        if self.gateway not in GATEWAY_BACKENDS:
-            raise ConfigError(
-                f"unknown gateway backend {self.gateway!r}; "
-                f"choose from {GATEWAY_BACKENDS}"
-            )
-        if self.gateway_staleness <= 0:
-            raise ConfigError(
-                f"gateway_staleness must be positive, got {self.gateway_staleness}"
-            )
         if self.execution not in ("serial", "parallel"):
             raise ConfigError(
                 f"execution must be 'serial' or 'parallel', got {self.execution!r}"

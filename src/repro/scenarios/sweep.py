@@ -103,7 +103,6 @@ def cohort_sweep(
     policy: Optional[AsyncPolicy] = None,
     context: Optional[ScenarioContext] = None,
     selection_workers: Optional[int] = None,
-    gateway: Optional[str] = None,
     runtime: Optional[str] = None,
     runtime_workers: Optional[int] = None,
     sampled_k: Optional[int] = None,
@@ -114,10 +113,10 @@ def cohort_sweep(
     (simulated seconds), cohort-mean final accuracy, mean adopted-
     combination size, and wall-clock cost.  All sizes share one
     :class:`ScenarioContext`.  ``selection_workers`` overrides the
-    template's combination-search parallelism, ``gateway`` its ledger
-    backend, and ``runtime``/``runtime_workers`` the process topology
-    (all pure wall-clock/transport knobs: rows are identical at any
-    worker count, backend, or runtime).  ``sampled_k`` sweeps the sizes
+    template's combination-search parallelism and
+    ``runtime``/``runtime_workers`` the process topology (pure
+    wall-clock/transport knobs: rows are identical at any worker count
+    or runtime).  ``sampled_k`` sweeps the sizes
     under k-of-n client sampling (every size must admit k peers).
     """
     if not sizes:
@@ -129,8 +128,6 @@ def cohort_sweep(
         template = replace(template, selection_workers=selection_workers)
     if sampled_k is not None:
         template = replace_axis(template, "participation.sampled_k", sampled_k)
-    if gateway is not None:
-        template = replace_axis(template, "chain.gateway", gateway)
     if runtime is not None:
         template = replace(template, runtime=runtime)
     if runtime_workers is not None:

@@ -1,4 +1,4 @@
-"""The ledger gateway: protocol behavior, error mapping, batching, seam.
+"""The ledger gateway: protocol behavior, error mapping, stats, seam.
 
 Covers the transport-agnostic :mod:`repro.chain.gateway` API the FL layer
 programs against:
@@ -6,9 +6,8 @@ programs against:
 * ``InProcessGateway`` delegation and instrumentation, and its per-head
   read memo (exact against fresh reads, end to end too);
 * typed error mapping (unknown contract / unknown method / reverted call
-  / rejected transaction) — asserted identical across both backends;
-* ``BatchingGateway`` head-keyed caching with the bounded staleness
-  window, and that the backend never changes an end-to-end result;
+  / rejected transaction);
+* the stack-walking stats helpers and the ``chain_stats()`` view;
 * the architectural seam: no FL-layer module reaches into ``.node``.
 """
 
@@ -19,7 +18,6 @@ import pytest
 
 from repro.chain.crypto import KeyPair
 from repro.chain.gateway import (
-    BatchingGateway,
     CallRequest,
     ChainGateway,
     GatewayStats,
@@ -44,10 +42,12 @@ from repro.errors import (
     UnknownContractError,
     UnknownMethodError,
 )
+from repro.faults import ResilientGateway
 from repro.fl.trainer import TrainConfig
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 from repro.nn.serialize import weights_hash
+from repro.runtime.gateway import RemoteGateway
 from repro.utils.events import Simulator
 from repro.utils.rng import RngFactory
 
@@ -88,14 +88,6 @@ def node_and_registry():
     node, kp = make_node()
     registry = deploy_registry(node, kp)
     return node, kp, registry
-
-
-def backends(node):
-    """Both gateway backends over one node (error-parity parametrization)."""
-    return {
-        "inprocess": InProcessGateway(node),
-        "batching": BatchingGateway(InProcessGateway(node)),
-    }
 
 
 class TestCallRequest:
@@ -314,53 +306,47 @@ class TestReadMemo:
         assert deltas == [{"calls": 1, "contract_call_round_trips": 1, "requested_reads": 1}] * 3
 
 
-class TestErrorMappingParity:
-    """The typed error surface is identical across backends."""
+class TestErrorMapping:
+    """Node failures surface as typed gateway errors."""
 
-    @pytest.mark.parametrize("backend", ["inprocess", "batching"])
-    def test_unknown_contract(self, node_and_registry, backend):
+    def test_unknown_contract(self, node_and_registry):
         node, _, _ = node_and_registry
-        gateway = backends(node)[backend]
+        gateway = InProcessGateway(node)
         with pytest.raises(UnknownContractError):
             gateway.call("0x" + "ee" * 20, "member_count")
 
-    @pytest.mark.parametrize("backend", ["inprocess", "batching"])
-    def test_unknown_method(self, node_and_registry, backend):
+    def test_unknown_method(self, node_and_registry):
         node, _, registry = node_and_registry
-        gateway = backends(node)[backend]
+        gateway = InProcessGateway(node)
         with pytest.raises(UnknownMethodError):
             gateway.call(registry, "no_such_method")
 
-    @pytest.mark.parametrize("backend", ["inprocess", "batching"])
-    def test_non_public_method(self, node_and_registry, backend):
+    def test_non_public_method(self, node_and_registry):
         node, _, registry = node_and_registry
-        gateway = backends(node)[backend]
+        gateway = InProcessGateway(node)
         with pytest.raises(UnknownMethodError):
             gateway.call(registry, "init")
 
-    @pytest.mark.parametrize("backend", ["inprocess", "batching"])
-    def test_reverted_call(self, node_and_registry, backend):
+    def test_reverted_call(self, node_and_registry):
         node, kp, _ = node_and_registry
         ledger = deploy_contract(node, kp, 26.0, contract="reputation_ledger")
-        gateway = backends(node)[backend]
+        gateway = InProcessGateway(node)
         # Self-rating reverts inside the contract.
         with pytest.raises(CallRevertedError):
             gateway.call(ledger, "rate", round_id=1, subject=kp.address, delta=5)
 
-    @pytest.mark.parametrize("backend", ["inprocess", "batching"])
-    def test_rejected_transaction(self, node_and_registry, backend):
+    def test_rejected_transaction(self, node_and_registry):
         node, kp, registry = node_and_registry
-        gateway = backends(node)[backend]
+        gateway = InProcessGateway(node)
         stale = Transaction(
             sender=kp.address, to=registry, nonce=0, method="register", args={}
         ).sign_with(kp)  # nonce 0 already consumed by the deployment
         with pytest.raises(TransactionRejectedError):
             gateway.submit(stale)
 
-    @pytest.mark.parametrize("backend", ["inprocess", "batching"])
-    def test_batch_call_maps_errors_too(self, node_and_registry, backend):
+    def test_batch_call_maps_errors_too(self, node_and_registry):
         node, _, registry = node_and_registry
-        gateway = backends(node)[backend]
+        gateway = InProcessGateway(node)
         with pytest.raises(UnknownMethodError):
             gateway.batch_call(
                 [
@@ -370,119 +356,11 @@ class TestErrorMappingParity:
             )
 
 
-class TestBatchingGateway:
-    def test_repeated_read_hits_cache(self, node_and_registry):
-        node, _, registry = node_and_registry
-        inner = InProcessGateway(node)
-        gateway = BatchingGateway(inner)
-        assert gateway.call(registry, "member_count") == 0
-        assert gateway.call(registry, "member_count") == 0
-        assert inner.stats.calls == 1
-        assert gateway.stats.calls == 2
-        assert gateway.stats.cache_hits == 1
-
-    def test_head_change_invalidates(self, node_and_registry):
-        node, kp, registry = node_and_registry
-        inner = InProcessGateway(node)
-        gateway = BatchingGateway(inner)
-        assert gateway.call(registry, "member_count") == 0
-        register = Transaction(
-            sender=kp.address,
-            to=registry,
-            nonce=node.next_nonce_for(kp.address),
-            method="register",
-            args={"display_name": "A"},
-        ).sign_with(kp)
-        node.submit_transaction(register)
-        mine(node, 26.0)
-        assert gateway.call(registry, "member_count") == 1
-        assert inner.stats.calls == 2
-
-    def test_staleness_window_expires_entries(self, node_and_registry):
-        node, _, registry = node_and_registry
-        sim = Simulator()
-        inner = InProcessGateway(node, simulator=sim)
-        gateway = BatchingGateway(inner, staleness=5.0)
-        assert gateway.call(registry, "member_count") == 0
-        sim.schedule_in(10.0, lambda: None)
-        sim.step()  # advance the transport clock past the window
-        assert gateway.call(registry, "member_count") == 0
-        assert inner.stats.calls == 2  # head unchanged but entry expired
-
-    def test_batch_call_forwards_only_misses(self, node_and_registry):
-        node, kp, registry = node_and_registry
-        inner = InProcessGateway(node)
-        gateway = BatchingGateway(inner)
-        gateway.call(registry, "member_count")
-        values = gateway.batch_call(
-            [
-                CallRequest(registry, "member_count"),
-                CallRequest(registry, "is_member", {"address": kp.address}),
-            ]
-        )
-        assert values == [0, False]
-        assert inner.stats.batch_calls == 1
-        assert inner.stats.batched_reads == 1  # only the miss crossed
-        assert gateway.stats.cache_hits == 1
-
-    def test_has_contract_cached_nonce_not(self, node_and_registry):
-        node, kp, registry = node_and_registry
-        inner = InProcessGateway(node)
-        gateway = BatchingGateway(inner)
-        assert gateway.has_contract(registry)
-        assert gateway.has_contract(registry)
-        assert inner.stats.contract_checks == 1
-        gateway.next_nonce(kp.address)
-        gateway.next_nonce(kp.address)
-        assert inner.stats.nonce_reads == 2
-
-    def test_reorg_invalidates_cache_within_staleness_window(self, node_and_registry):
-        """A cached read is never served across a reorg.
-
-        The cache is head-keyed, not height- or time-keyed: when a
-        competing fork wins, the head *hash* changes even though the
-        staleness window is nowhere near expiring, and the next read must
-        reflect the post-reorg state (here: the registration transaction
-        dropped back out of the canonical chain)."""
-        node, kp, registry = node_and_registry
-        fork_node, _ = make_node()
-        fork_node.import_block(node.head)  # sync the registry block
-        assert fork_node.height == node.height
-        inner = InProcessGateway(node)
-        # Huge window: only head changes may invalidate in this test.
-        gateway = BatchingGateway(inner, staleness=1e9)
-        assert gateway.call(registry, "member_count") == 0
-        register = Transaction(
-            sender=kp.address,
-            to=registry,
-            nonce=node.next_nonce_for(kp.address),
-            method="register",
-            args={"display_name": "A"},
-        ).sign_with(kp)
-        node.submit_transaction(register)
-        mine(node, 26.0)
-        assert gateway.call(registry, "member_count") == 1
-        reads_before = inner.stats.calls
-        # A longer empty fork outweighs the single block with the tx.
-        for timestamp in (26.5, 27.0):
-            block = fork_node.build_block_candidate(timestamp, difficulty=1)
-            fork_node.seal_and_import(block, nonce=0)
-            node.import_block(fork_node.head)
-        assert node.head.block_hash == fork_node.head.block_hash
-        # Post-reorg the cached value 1 would be wrong; the gateway must
-        # read through and see the fork's state.
-        assert gateway.call(registry, "member_count") == 0
-        assert inner.stats.calls == reads_before + 1
-
-    def test_invalid_staleness_rejected(self, node_and_registry):
-        node, _, _ = node_and_registry
-        with pytest.raises(GatewayError):
-            BatchingGateway(InProcessGateway(node), staleness=0.0)
-
+class TestGatewayStats:
     def test_transport_stats_unwraps_to_innermost(self, node_and_registry):
         node, _, _ = node_and_registry
         inner = InProcessGateway(node)
-        gateway = BatchingGateway(inner)
+        gateway = ResilientGateway(inner)
         assert transport_stats(gateway) is inner.stats
         assert transport_stats(inner) is inner.stats
 
@@ -502,7 +380,7 @@ def easy_dataset(rng, n=60):
     return Dataset(x, y)
 
 
-def run_tiny_driver(gateway_backend: str):
+def run_tiny_driver():
     peers = ("A", "B", "C")
     data_rng = np.random.default_rng(0)
     driver = DecentralizedFL(
@@ -513,7 +391,7 @@ def run_tiny_driver(gateway_backend: str):
         {p: easy_dataset(data_rng, n=60) for p in peers},
         {p: easy_dataset(data_rng, n=40) for p in peers},
         lambda rng: Sequential([Dense(2, name="out")]).build(np.random.default_rng(42), (4,)),
-        DecentralizedConfig(rounds=2, enable_reputation=True, gateway=gateway_backend),
+        DecentralizedConfig(rounds=2, enable_reputation=True),
         rng_factory=RngFactory(5),
     )
     logs = driver.run()
@@ -521,46 +399,12 @@ def run_tiny_driver(gateway_backend: str):
 
 
 class TestBackendEquivalence:
-    """The batching backend never changes an end-to-end result."""
-
-    def test_batching_run_identical_to_inprocess(self):
-        raw_driver, raw_logs = run_tiny_driver("inprocess")
-        bat_driver, bat_logs = run_tiny_driver("batching")
-        assert [
-            (log.peer_id, log.round_id, log.chosen_combination, log.chosen_accuracy,
-             log.combination_accuracy, log.wait_time)
-            for log in raw_logs
-        ] == [
-            (log.peer_id, log.round_id, log.chosen_combination, log.chosen_accuracy,
-             log.combination_accuracy, log.wait_time)
-            for log in bat_logs
-        ]
-        for peer_id in raw_driver.peers:
-            raw_weights = raw_driver.peers[peer_id].client.model.get_weights()
-            bat_weights = bat_driver.peers[peer_id].client.model.get_weights()
-            assert weights_hash(raw_weights) == weights_hash(bat_weights)
-            assert raw_driver.reputation_of(peer_id) == bat_driver.reputation_of(peer_id)
-
-    def test_batching_reduces_transport_round_trips(self):
-        raw_driver, _ = run_tiny_driver("inprocess")
-        bat_driver, _ = run_tiny_driver("batching")
-        raw = raw_driver.gateway_stats()
-        bat = bat_driver.gateway_stats()
-        assert raw["backend"] == "inprocess" and bat["backend"] == "batching"
-        # Same reads requested by the FL layer; fewer reach the transport.
-        assert (
-            bat["requested"]["requested_reads"] == raw["requested"]["requested_reads"]
-        )
-        assert (
-            bat["transport"]["contract_call_round_trips"]
-            < raw["transport"]["contract_call_round_trips"]
-        )
+    """The driver's ``chain_stats()`` carries the gateway counters."""
 
     def test_chain_stats_carries_gateway_instrumentation(self):
-        driver, _ = run_tiny_driver("inprocess")
+        driver, _ = run_tiny_driver()
         stats = driver.chain_stats()
         gateway = stats["gateway"]
-        assert gateway["backend"] == "inprocess"
         assert gateway["requested"] == gateway["transport"]
         assert gateway["requested"]["contract_call_round_trips"] > 0
         assert gateway["requested"]["submits"] > 0
@@ -673,4 +517,4 @@ class TestGatewaySeam:
         node, _ = make_node()
         inner = InProcessGateway(node)
         assert isinstance(inner, ChainGateway)
-        assert isinstance(BatchingGateway(inner), ChainGateway)
+        assert isinstance(RemoteGateway(channel=None, peer_id="A"), ChainGateway)

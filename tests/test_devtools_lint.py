@@ -479,7 +479,7 @@ class TestConfigMutationRule:
             from typing import Optional
 
             def tune(cc: Optional[ChainSpec]):
-                cc.gateway = "batching"
+                cc.hot_window = 8
             """
         )
         assert rule_ids(findings) == ["config-mutation"]

@@ -572,12 +572,6 @@ class TestDriverByteEquivalence:
         assert first.fault_injector.trace == second.fault_injector.trace
         assert first.fault_injector.trace
 
-    def test_batching_backend_composes_with_faults(self):
-        faulty = make_driver(rounds=2, faults=TRANSIENT_FAULTS, gateway="batching")
-        clean = make_driver(rounds=2, gateway="batching")
-        assert run_fingerprints(faulty) == run_fingerprints(clean)
-        assert faulty.abort_reason == ""
-
     def test_unshielded_faults_abort_instead_of_raising(self):
         spec = FaultSpec(transient_rate=0.25, timeout_rate=0.1, resilience=False)
         driver = make_driver(rounds=2, faults=spec)

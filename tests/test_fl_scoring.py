@@ -186,15 +186,14 @@ class TestEngineSearches:
             (s.members, s.accuracy) for s in scored
         ]
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_min_size_above_max_size_is_empty(self, scratch_model, test_set, workers):
-        """min_size > max_size is the reference's empty size range, in
-        every mode — not a backdoor to the solo fast path."""
+    def test_min_size_above_max_size_is_empty(self, scratch_model, test_set):
+        """min_size > max_size is the reference's empty size range — not a
+        backdoor to the solo fast path."""
         updates = [upd("A", good_weights()), upd("B", bad_weights())]
         reference = enumerate_combinations(
             updates, scratch_model, test_set, min_size=2, max_size=1
         )
-        engine = CombinationEngine(scratch_model, test_set, workers=workers)
+        engine = CombinationEngine(scratch_model, test_set)
         assert engine.enumerate(updates, min_size=2, max_size=1) == reference == []
 
     def test_empty_and_bad_min_size_rejected(self, scratch_model, test_set):
@@ -236,7 +235,3 @@ class TestEngineSearches:
         assert reference.accuracy == candidate.accuracy
         for key in reference.weights:
             np.testing.assert_array_equal(reference.weights[key], candidate.weights[key])
-
-    def test_workers_validation(self, scratch_model, test_set):
-        with pytest.raises(SelectionError):
-            CombinationEngine(scratch_model, test_set, workers=-1)

@@ -403,9 +403,7 @@ class TestServedGateway:
             assert remote.batch_call(
                 [CallRequest(registry, "member_count", {})] * 2
             ) == [0, 0]
-            head, now = remote.observe_head()
-            assert head == gateway.head_hash()
-            assert remote.stats.rpc_round_trips >= 7
+            assert remote.stats.rpc_round_trips >= 6
             assert remote.stats.wire_bytes_sent > 0
             assert remote.stats.wire_bytes_received > 0
 

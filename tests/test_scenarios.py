@@ -415,52 +415,6 @@ class TestSweepDriver:
         assert context.stats["dataset_hits"] >= context.stats["dataset_misses"]
 
 
-class TestGatewayAxis:
-    """The ledger-gateway knobs on the chain axis."""
-
-    def test_unknown_gateway_rejected(self):
-        with pytest.raises(ConfigError, match="gateway"):
-            replace_axis(tiny_spec(), "chain.gateway", "carrier-pigeon")
-
-    def test_nonpositive_staleness_rejected(self):
-        with pytest.raises(ConfigError, match="staleness"):
-            replace_axis(tiny_spec(), "chain.gateway_staleness", 0.0)
-
-    def test_batching_backend_matches_inprocess(self):
-        base = tiny_spec(rounds=2, enable_reputation=True)
-        raw = run_scenario(base)
-        batched = run_scenario(replace_axis(base, "chain.gateway", "batching"))
-        assert raw.client_accuracy == batched.client_accuracy
-        assert raw.combination_accuracy == batched.combination_accuracy
-        assert raw.wait_times == batched.wait_times
-        assert raw.reputation == batched.reputation
-        raw_gw = raw.chain_stats["gateway"]
-        batched_gw = batched.chain_stats["gateway"]
-        assert raw_gw["backend"] == "inprocess"
-        assert batched_gw["backend"] == "batching"
-        # Same reads requested; strictly fewer reach the transport.
-        assert (
-            batched_gw["requested"]["requested_reads"]
-            == raw_gw["requested"]["requested_reads"]
-        )
-        assert (
-            batched_gw["transport"]["contract_call_round_trips"]
-            < raw_gw["transport"]["contract_call_round_trips"]
-        )
-
-    def test_cohort_sweep_gateway_override(self):
-        base = replace(
-            cohort_scenario(3, seed=2).quick(),
-            rounds=1,
-            cohort=CohortSpec(size=3, train_samples=60, test_samples=40),
-            aggregator_test_samples=40,
-        )
-        rows = cohort_sweep([3], base=base, seed=2)
-        batched = cohort_sweep([3], base=base, seed=2, gateway="batching")
-        assert rows[0]["final_accuracy"] == batched[0]["final_accuracy"]
-        assert rows[0]["mean_wait_s"] == batched[0]["mean_wait_s"]
-
-
 class TestReputationScenario:
     """ROADMAP item (a): reputation-weighted exclusion quality."""
 
